@@ -12,16 +12,18 @@ the CouchDB/Kafka shard) and serves the calls of the cells it owns.
 :class:`RegionGateway` is an **analytic virtual-clock** model of one
 regional slice: instead of stepping a discrete-event kernel it computes
 each call's pipeline departure times in closed form against per-resource
-free-time heaps — the same technique the PR 3 analytic queueing layer
-uses inside the kernel, here lifted out of the kernel entirely (zero
-events per call). The pipeline mirrors the OpenWhisk platform stage for
+free-time queues — the same technique the kernel's analytic queueing
+layer uses, here lifted out of the kernel entirely (zero events per
+call). The pipeline mirrors the OpenWhisk platform stage for
 stage: admission occupancy, frontend + CouchDB auth, the controller
 k-server pool, placement (HiveMind parent-colocation then stock
 warm-affinity/least-loaded with rotation), parent-output data sharing
 (in-memory / remote-memory fabric / CouchDB), the Kafka hop, warm/cold
-container claim against keepalive'd pools, per-server core heaps with
-utilization-dependent interference, and CouchDB persistence — plus the
-straggler-mitigation duplicate race for exact (non-synthetic) calls.
+container claim against keepalive'd pools, per-server sorted core
+free-time lists with utilization-dependent interference (every busy-core
+count is one bisection, so pricing a call is O(log cores)), and CouchDB
+persistence — plus the straggler-mitigation duplicate race for exact
+(non-synthetic) calls.
 
 Three deliberate simplifications, accepted because the regional tier is
 a throughput/latency *model* of the slice rather than a byte-exact
@@ -30,7 +32,7 @@ observable tolerance instead):
 
 - Calls are served one at a time in canonical per-region arrival order,
   so a call's later stages are priced before the next call's earlier
-  stages. The free-time heaps still order grants correctly
+  stages. The free-time queues still order grants correctly
   (``grant = max(free, t)``); only cross-call FIFO inversions inside one
   stage are approximated, a second-order effect on aggregate
   percentiles.
@@ -55,6 +57,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_right, insort
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -143,7 +146,9 @@ class RegionGateway:
         cores = constants.cluster.cores_per_server
         self._n_servers = n_servers
         self._cores = cores
-        #: Per-server min-heaps of core free instants.
+        #: Per-server sorted lists of core free instants: the earliest
+        #: free core is ``[0]`` and the cores still busy at ``t`` are the
+        #: tail past ``bisect_right(free, t)``.
         self._core_free: List[List[float]] = [
             [0.0] * cores for _ in range(n_servers)]
         #: Per-server warm pools: image -> {"ready": heap, "expiry":
@@ -157,6 +162,13 @@ class RegionGateway:
         self._warm: List[Dict[str, Dict]] = [{} for _ in range(n_servers)]
         self._pool_counter = 0
         self._probation_until = [0.0] * n_servers
+        #: Latest probation end any server was given: while it is
+        #: ``<= t`` every server is healthy and placement skips the
+        #: per-server filter (:meth:`_healthy`).
+        self._probation_end = 0.0
+        #: ``_prefixes[n] == list(range(n))``: the healthy set when no
+        #: server is on probation and ``n`` servers are active.
+        self._prefixes = [list(range(n)) for n in range(n_servers + 1)]
         self._strikes = [0] * n_servers
         self._rotation = 0
 
@@ -269,6 +281,7 @@ class RegionGateway:
                              else event.time + event.duration_s)
                     self._probation_until[local] = max(
                         self._probation_until[local], until)
+                    self._probation_end = max(self._probation_end, until)
                     self.injected_faults += 1
         self._couch_outages.sort()
         self._kafka_outages.sort()
@@ -300,8 +313,17 @@ class RegionGateway:
         return self._couch_serve(t, duration)
 
     def _utilization(self, server: int, t: float) -> float:
-        busy = sum(1 for free in self._core_free[server] if free > t)
+        busy = self._cores - bisect_right(self._core_free[server], t)
         return busy / self._cores
+
+    def _grant_core(self, server: int, t: float) -> Tuple[float, int]:
+        """Take ``server``'s earliest-free core for a task ready at
+        ``t``: returns ``(grant, busy)``, ``busy`` counting the cores
+        busy at the grant, this one included. The caller puts the core
+        back with ``insort`` once it knows the task's end."""
+        free_at = self._core_free[server]
+        grant = max(free_at.pop(0), t)
+        return grant, 1 + len(free_at) - bisect_right(free_at, grant)
 
     def _reap(self, pool: Dict, t: float) -> None:
         """Drop expired records (lazy: stale heap entries are skipped)."""
@@ -359,9 +381,11 @@ class RegionGateway:
                 # warm pool, so scale-out pays cold starts through the
                 # existing invoker model.
                 limit = max(1, min(limit, active))
+        if self._probation_end <= t:
+            return self._prefixes[limit]
         healthy = [s for s in range(limit)
                    if self._probation_until[s] <= t]
-        return healthy or list(range(limit))
+        return healthy or self._prefixes[limit]
 
     def _place(self, spec, t: float, parent: Optional[Tuple]
                ) -> Tuple[int, Optional[List[float]]]:
@@ -378,11 +402,16 @@ class RegionGateway:
                 self._warm[parent_server][spec.image]["live"] -= 1
                 return parent_server, parent_record
         candidates = self._healthy(t)
+        utilization = []
         for server in candidates:
-            if (self._warm_available(server, spec.image, t)
-                    and self._utilization(server, t) < 1.0):
+            # Reap each visited pool in candidate order even when the
+            # server is full: reaping is lazy state, so skipping or
+            # reordering one can change rows.
+            warm = self._warm_available(server, spec.image, t)
+            load = self._utilization(server, t)
+            if warm and load < 1.0:
                 return server, None
-        utilization = [self._utilization(s, t) for s in candidates]
+            utilization.append(load)
         best = min(utilization)
         tied = [s for s, u in zip(candidates, utilization) if u == best]
         chosen = tied[self._rotation % len(tied)]
@@ -453,16 +482,13 @@ class RegionGateway:
         t += start_cost
         breakdown.charge("management", start_cost)
         # Core grant + utilization-dependent interference.
-        heap = self._core_free[server]
-        free = heapq.heappop(heap)
-        grant = max(free, t)
-        busy = 1 + sum(1 for other in heap if other > grant)
+        grant, busy = self._grant_core(server, t)
         interference = ((1.0 + cst.interference_slope
                          * max(0.0, busy / self._cores - 0.5))
                         * float(self._rng.lognormal(0.0, 0.16)))
         service = service_s * interference
         t = grant + service
-        heapq.heappush(heap, t)
+        insort(self._core_free[server], t)
         breakdown.charge("execution", service)
         # Return the container to the warm pool.
         container[0] = t
@@ -474,7 +500,9 @@ class RegionGateway:
     def _strike(self, server: int, t: float) -> None:
         self._strikes[server] += 1
         if self._strikes[server] >= _PROBATION_THRESHOLD:
-            self._probation_until[server] = t + self._control.probation_s
+            until = t + self._control.probation_s
+            self._probation_until[server] = until
+            self._probation_end = max(self._probation_end, until)
             self._strikes[server] = 0
 
     def _mitigated_invoke(self, t_submit: float, spec, service_s: float,

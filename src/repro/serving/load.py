@@ -249,9 +249,11 @@ def generate_serving_calls(tenants: Sequence[TenantSpec],
         if hit_cap:
             truncated.append(tenant.name)
         cell = SERVING_CELL_BASE + index
-        for seq, arrival in enumerate(times):
-            service_s = float(rng.lognormal(log_service,
-                                            app.service_sigma))
+        # One vector draw: the same stream values, in the same order,
+        # as one scalar draw per arrival.
+        services = rng.lognormal(log_service, app.service_sigma,
+                                 size=len(times)).tolist()
+        for seq, (arrival, service_s) in enumerate(zip(times, services)):
             calls.append(CloudCall(
                 cell=cell, seq=seq, device_id=f"tenant:{tenant.name}",
                 arrival_s=arrival, recognition_s=service_s,

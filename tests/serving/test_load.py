@@ -13,6 +13,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.apps import SCENARIO_A
 from repro.serving.load import (SERVING_CELL_BASE, TenantSpec,
@@ -128,6 +130,20 @@ class TestDeterminism:
         assert all(c.cell >= SERVING_CELL_BASE for c in calls)
         assert all(c.recognition_s > 0 for c in calls)
         assert {c.region for c in calls} == {0, 1}
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 2000),
+           st.floats(-3.0, 3.0), st.floats(0.0, 2.0))
+    @example(seed=0, n=100_000, mean=0.0, sigma=0.5)
+    def test_vector_draw_equals_scalar_draws(self, seed, n, mean, sigma):
+        """The generator draws each tenant's service times in one call;
+        that must equal one scalar draw per arrival, value for value,
+        and leave the stream in the same state."""
+        vector = RandomStreams(seed).stream("serving.u")
+        scalar = RandomStreams(seed).stream("serving.u")
+        assert vector.lognormal(mean, sigma, size=n).tolist() == [
+            float(scalar.lognormal(mean, sigma)) for _ in range(n)]
+        assert vector.random() == scalar.random()
 
     def test_per_tenant_cap_is_reported_not_silent(self):
         tenants = (TenantSpec(name="hot", rate_rps=500.0),)

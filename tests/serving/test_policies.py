@@ -6,6 +6,8 @@ up here before it perturbs the fig19 knee.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serving import (AdmissionConfig, AdmissionController,
                            AutoscaleConfig, InvokerAutoscaler,
@@ -128,6 +130,42 @@ class TestAutoscaler:
         scaler.observe(12.0, backlog=500)
         assert scaler.reaction_s(burst_start_s=5.0) == pytest.approx(
             12.0 + 8.0 - 5.0)
+
+    def test_decreasing_t_rejected(self):
+        scaler = self._scaler()
+        scaler.observe(5.0, backlog=9)
+        scaler.observe(5.0, backlog=9)  # equal instants are fine
+        with pytest.raises(ValueError, match="t=4.5 after t=5.0"):
+            scaler.observe(4.5, backlog=0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.floats(0.0, 4.0), st.integers(0, 24),
+                              st.integers(1, 6)), max_size=30),
+           st.lists(st.floats(0.0, 200.0), min_size=1, max_size=20))
+    def test_active_matches_brute_force(self, phases, queries):
+        """Random monotone ``observe`` sequences (scale-outs and
+        scale-ins) against a linear readiness count at any ``t``, over
+        a pool rebuilt from the decision log: a scale-out adds servers
+        ready at ``ready_s``, a scale-in retires the latest-ready one."""
+        scaler = self._scaler(scale_in_idle_s=3.0, cooldown_s=1.0,
+                              provision_s=2.0)
+        steps = [(gap, backlog) for gap, backlog, repeat in phases
+                 for _ in range(repeat)]
+        t = 0.0
+        for gap, backlog in steps:
+            t += gap
+            scaler.observe(t, backlog)
+            ready_at = []
+            for event in scaler.events:
+                if event.direction == "out":
+                    ready_at += [event.ready_s] * (event.active_after
+                                                   - event.active_before)
+                else:
+                    ready_at.remove(max(ready_at))
+            for q in queries:
+                ready = sum(1 for at in ready_at if at <= q)
+                assert scaler.active(q) == min(
+                    scaler.max_servers, scaler.min_servers + ready)
 
     def test_pool_bounds_are_clamped(self):
         scaler = InvokerAutoscaler(AutoscaleConfig(min_servers=10),
