@@ -9,14 +9,17 @@ path (no ``REPRO_SHARDS``) to the seed's frozen observables.
 """
 
 import dataclasses
+import math
 
 import pytest
 
 from repro.apps import SCENARIO_A
 from repro.apps.suite import SUITE
+from repro.config import DEFAULT
 from repro.platforms import platform_config
 from repro.sim import flags
-from repro.sim.shard import plan_cells, run_sharded
+from repro.sim.shard import (DEFAULT_WINDOW_S, plan_cells, resolve_window,
+                             run_sharded)
 
 N_DEVICES = 16
 CELL_DEVICES = 4  # four cells, so 1/2/4 shards all divide the work
@@ -206,3 +209,41 @@ class TestUnarmedPath:
             flags.cloud_shard_count(-1)
         with pytest.raises(ValueError):
             flags.hybrid_exact_devices(-8)
+
+
+class TestWindowResolution:
+    """A barrier window that never reaches the mission's end (NaN, inf)
+    or that is not a number at all fails at once with ValueError."""
+
+    @pytest.fixture(autouse=True)
+    def clean_env(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SHARD_WINDOW", raising=False)
+
+    def test_default_and_explicit(self, monkeypatch):
+        assert resolve_window(DEFAULT) == DEFAULT_WINDOW_S
+        assert resolve_window(DEFAULT, 5.0) == 5.0
+        monkeypatch.setenv("REPRO_SHARD_WINDOW", "30")
+        assert resolve_window(DEFAULT) == 30.0
+        # Below the causal minimum, the window clamps up to it.
+        assert resolve_window(DEFAULT, 1e-9) > 1e-9
+
+    @pytest.mark.parametrize("window_s", [math.nan, math.inf, -math.inf,
+                                          0.0, -1.0])
+    def test_bad_argument_rejected(self, window_s):
+        with pytest.raises(ValueError, match="barrier window"):
+            resolve_window(DEFAULT, window_s)
+
+    @pytest.mark.parametrize("configured", ["nan", "inf", "-inf", "0",
+                                            "-5", "abc"])
+    def test_bad_env_value_names_the_variable(self, monkeypatch,
+                                              configured):
+        monkeypatch.setenv("REPRO_SHARD_WINDOW", configured)
+        with pytest.raises(ValueError,
+                           match=f"REPRO_SHARD_WINDOW='{configured}'"):
+            resolve_window(DEFAULT)
+
+    def test_nan_window_fails_fast_in_run_sharded(self):
+        with pytest.raises(ValueError, match="barrier window"):
+            run_sharded(platform_config("hivemind"),
+                        scenario_variant("S1"), 8, shards=1,
+                        cell_devices=4, window_s=math.nan)
