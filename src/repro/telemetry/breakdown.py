@@ -53,6 +53,18 @@ class LatencyBreakdown:
     def as_dict(self) -> Dict[str, float]:
         return {name: getattr(self, name) for name in COMPONENTS}
 
+    @classmethod
+    def from_halves(cls, edge: Dict[str, float],
+                    cloud: Dict[str, float]) -> "LatencyBreakdown":
+        """Sum of two :meth:`as_dict` halves, field by field: the same
+        float additions as ``cls(**edge) + cls(**cloud)``."""
+        return cls(
+            network=edge["network"] + cloud["network"],
+            management=edge["management"] + cloud["management"],
+            data_io=edge["data_io"] + cloud["data_io"],
+            execution=edge["execution"] + cloud["execution"],
+        )
+
     def __add__(self, other: "LatencyBreakdown") -> "LatencyBreakdown":
         return LatencyBreakdown(
             network=self.network + other.network,

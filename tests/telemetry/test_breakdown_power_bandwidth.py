@@ -45,6 +45,14 @@ class TestLatencyBreakdown:
         combined = a + b
         assert combined.network == 1 and combined.execution == 2
 
+    @given(st.lists(st.floats(min_value=0, max_value=100), min_size=8,
+                    max_size=8))
+    def test_from_halves_matches_addition(self, parts):
+        edge = LatencyBreakdown(*parts[:4])
+        cloud = LatencyBreakdown(*parts[4:])
+        assert (LatencyBreakdown.from_halves(edge.as_dict(), cloud.as_dict())
+                == edge + cloud)
+
     @given(st.lists(st.floats(min_value=0, max_value=100), min_size=4,
                     max_size=4))
     def test_fractions_property(self, parts):
