@@ -5,6 +5,12 @@ and the moving people of Scenario B (random-waypoint walkers). The camera
 model queries visibility against this world, which is what makes detection
 counts and deduplication pressure (the same person photographed by several
 drones) emerge from the simulation rather than being scripted.
+
+Walkers move only through :meth:`FieldWorld.advance` and are added only
+through :meth:`FieldWorld.place_people`. Both drop the position snapshot
+(ids, xs, ys arrays) that :meth:`FieldWorld.visible_people` answers
+footprint queries from, so the snapshot is rebuilt only after people
+actually moved; code that edits ``people`` directly would leave it stale.
 """
 
 from __future__ import annotations
@@ -46,6 +52,9 @@ class FieldWorld:
         #: Lazily built uniform grid over the (static) items: cell -> ids.
         self._item_grid: Optional[Dict[Tuple[int, int], List[int]]] = None
         self._cell_m = 1.0
+        #: (ids, xs, ys) of the walkers, rebuilt lazily after they move.
+        self._people_xy: Optional[
+            Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     def _random_point(self) -> Point:
         return (float(self._rng.uniform(0, self.width_m)),
@@ -72,15 +81,21 @@ class FieldWorld:
                 waypoint=self._random_point(),
                 speed_mps=speed_mps,
             )
+        if count:
+            self._people_xy = None
 
     def advance(self, to_time: float) -> None:
         """Move every person forward to simulation time ``to_time``."""
+        if not math.isfinite(to_time):
+            raise ValueError(f"world time must be finite, got {to_time!r}")
         dt = to_time - self._clock
         if dt < 0:
             raise ValueError("world time cannot run backwards")
         if dt == 0:
             return
         self._clock = to_time
+        if self.people:
+            self._people_xy = None
         for person in self.people.values():
             remaining = dt * person.speed_mps
             while remaining > 0:
@@ -99,11 +114,6 @@ class FieldWorld:
                         person.position[0] + fraction * dx,
                         person.position[1] + fraction * dy)
                     remaining = 0.0
-
-    def _in_footprint(self, point: Point, center: Point,
-                      width_m: float, depth_m: float) -> bool:
-        return (abs(point[0] - center[0]) <= width_m / 2 and
-                abs(point[1] - center[1]) <= depth_m / 2)
 
     def _build_item_grid(self) -> Dict[Tuple[int, int], List[int]]:
         """Bucket the stationary items into a uniform grid so footprint
@@ -126,6 +136,8 @@ class FieldWorld:
     def visible_items(self, center: Point, width_m: float,
                       depth_m: float) -> List[int]:
         """Item ids inside an axis-aligned camera footprint."""
+        if not self.items:
+            return []
         grid = self._item_grid
         if grid is None:
             grid = self._build_item_grid()
@@ -150,8 +162,25 @@ class FieldWorld:
 
     def visible_people(self, center: Point, width_m: float,
                        depth_m: float) -> List[int]:
-        return [p.person_id for p in self.people.values()
-                if self._in_footprint(p.position, center, width_m, depth_m)]
+        """Person ids inside an axis-aligned camera footprint, ascending.
+
+        One mask over the position snapshot; IEEE subtraction, ``abs``
+        and comparison are exact, so it matches a scalar scan bit for bit.
+        """
+        if not self.people:
+            return []
+        snapshot = self._people_xy
+        if snapshot is None:
+            people = self.people.values()
+            snapshot = self._people_xy = (
+                np.array([p.person_id for p in people]),
+                np.array([p.position[0] for p in people], dtype=float),
+                np.array([p.position[1] for p in people], dtype=float))
+        ids, xs, ys = snapshot
+        cx, cy = center
+        inside = ((np.abs(xs - cx) <= width_m / 2) &
+                  (np.abs(ys - cy) <= depth_m / 2))
+        return ids[inside].tolist()
 
     @property
     def item_count(self) -> int:

@@ -1,5 +1,7 @@
 """Tests for the edge layer: world, sensors, devices, drones, cars, swarm."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,21 @@ class TestFieldWorld:
         world.advance(5.0)
         with pytest.raises(ValueError):
             world.advance(4.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_time_rejected(self, rng, bad):
+        world = FieldWorld(50, 50, rng)
+        world.place_people(3)
+        world.advance(2.0)
+        before = [p.position for p in world.people.values()]
+        with pytest.raises(ValueError, match="finite"):
+            world.advance(bad)
+        # Clock and walkers are untouched: the next step still moves
+        # everyone on from time 2.
+        assert [p.position for p in world.people.values()] == before
+        world.advance(3.0)
+        assert all(p.position != old
+                   for p, old in zip(world.people.values(), before))
 
     def test_visibility_window(self, rng):
         world = FieldWorld(100, 100, rng)

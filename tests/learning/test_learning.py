@@ -95,6 +95,26 @@ class TestNearestCentroid:
         model = NearestCentroidClassifier(4)
         with pytest.raises(ValueError):
             model.add_observation(0, np.zeros(5))
+        model.add_observation(0, np.zeros(4))
+        for bad in (np.zeros(1), np.float64(0.0), np.zeros(5),
+                    np.zeros((2, 4))):
+            with pytest.raises(ValueError, match=r"\(4,\)"):
+                model.predict(bad)
+            with pytest.raises(ValueError, match=r"\(4,\)"):
+                model.add_observation(1, bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_embedding_rejected(self, bad):
+        model = NearestCentroidClassifier(4)
+        model.add_observation(0, np.zeros(4))
+        poisoned = np.array([0.0, 0.0, bad, 0.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            model.add_observation(1, poisoned)
+        with pytest.raises(ValueError, match="non-finite"):
+            model.predict(poisoned)
+        # The model is unharmed: a far embedding is still unknown.
+        assert model.known_identities == [0]
+        assert model.predict(np.full(4, 5.0)) is None
 
     def test_unknown_centroid_estimate(self):
         with pytest.raises(KeyError):
@@ -132,6 +152,20 @@ class TestDeduplication:
         engine = DeduplicationEngine()
         engine.add_all([space.centroids[0], space.centroids[1]])
         assert engine.observations == 2
+
+    def test_shape_checked_against_first_embedding(self):
+        engine = DeduplicationEngine()
+        for bad in (np.float64(1.0), np.zeros(0), np.zeros((2, 2))):
+            with pytest.raises(ValueError, match="1-D"):
+                engine.add(bad)
+        engine.add(np.zeros(4))
+        for bad in (np.zeros(1), np.float64(0.0), np.zeros(5)):
+            with pytest.raises(ValueError, match=r"\(4,\)"):
+                engine.add(bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            engine.add(np.array([0.0, np.nan, 0.0, 0.0]))
+        assert engine.observations == 1
+        assert engine.cluster_sizes() == [1]
 
 
 class TestDetectionTally:
