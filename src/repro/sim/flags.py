@@ -42,6 +42,7 @@ reactive policy.
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Optional
 
@@ -60,6 +61,36 @@ __all__ = [
     "serving_admission_enabled",
     "serving_autoscale_enabled",
 ]
+
+
+def _configured(variable: str, override, what: str, parse):
+    """``(source, value)`` from the explicit argument, else from the
+    environment; ``None`` when neither sets one. A value ``parse``
+    rejects raises ValueError naming its source."""
+    if override is not None:
+        return what, parse(override)
+    configured = os.environ.get(variable, "")
+    if not configured:
+        return None
+    source = f"{variable}={configured!r}"
+    try:
+        return source, parse(configured)
+    except ValueError:
+        raise ValueError(f"{source} is not a valid {parse.__name__}"
+                         ) from None
+
+
+def _count(variable: str, override: Optional[int], what: str,
+           default: int, minimum: int) -> int:
+    """An integer knob: the argument or the environment variable, each
+    rejected with a ValueError naming it when below ``minimum``."""
+    found = _configured(variable, override, what, int)
+    if found is None:
+        return default
+    source, count = found
+    if count < minimum:
+        raise ValueError(f"{source} must be at least {minimum}")
+    return count
 
 
 def _enabled(variable: str, override: Optional[bool]) -> bool:
@@ -96,15 +127,7 @@ def shard_count(override: Optional[int] = None) -> int:
     ``REPRO_SHARDS=N`` or an explicit ``--shards N`` arms the sharded
     cell-decomposed runtime of :mod:`repro.sim.shard`.
     """
-    if override is not None:
-        if override < 1:
-            raise ValueError("shard count must be at least 1")
-        return int(override)
-    configured = os.environ.get("REPRO_SHARDS", "")
-    if not configured:
-        return 1
-    count = int(configured)
-    return count if count >= 1 else 1
+    return _count("REPRO_SHARDS", override, "shard count", 1, 1)
 
 
 def cloud_shard_count(override: Optional[int] = None) -> int:
@@ -118,15 +141,7 @@ def cloud_shard_count(override: Optional[int] = None) -> int:
     regions (a pure function of the cell plan) scheduled over up to
     ``N`` worker groups — rows are identical at any ``N >= 1``.
     """
-    if override is not None:
-        if override < 0:
-            raise ValueError("cloud shard count must be non-negative")
-        return int(override)
-    configured = os.environ.get("REPRO_CLOUD_SHARDS", "")
-    if not configured:
-        return 0
-    count = int(configured)
-    return count if count >= 0 else 0
+    return _count("REPRO_CLOUD_SHARDS", override, "cloud shard count", 0, 0)
 
 
 def hybrid_exact_devices(override: Optional[int] = None) -> int:
@@ -140,15 +155,8 @@ def hybrid_exact_devices(override: Optional[int] = None) -> int:
     one run mixes a small exact focus sub-swarm with a mean-field
     background swarm.
     """
-    if override is not None:
-        if override < 0:
-            raise ValueError("hybrid exact-device count must be non-negative")
-        return int(override)
-    configured = os.environ.get("REPRO_HYBRID_EXACT", "")
-    if not configured:
-        return 0
-    count = int(configured)
-    return count if count >= 0 else 0
+    return _count("REPRO_HYBRID_EXACT", override,
+                  "hybrid exact-device count", 0, 0)
 
 
 def worker_deadline(override: Optional[float] = None) -> Optional[float]:
@@ -157,19 +165,18 @@ def worker_deadline(override: Optional[float] = None) -> Optional[float]:
     Returns the deadline in wall seconds, or ``None`` when neither an
     explicit argument nor the environment sets one — the caller
     (:func:`repro.sim.supervisor.resolve_worker_deadline`) then derives
-    ``max(60 s, lookahead window)``.
+    ``max(60 s, lookahead window)``. A deadline that is not a positive
+    finite number raises ValueError (NaN breaks the watchdog's poll, inf
+    turns hang detection off).
     """
-    if override is not None:
-        value = float(override)
-        if value <= 0:
-            raise ValueError("worker deadline must be positive")
-        return value
-    configured = os.environ.get("REPRO_WORKER_DEADLINE", "")
-    if not configured:
+    found = _configured("REPRO_WORKER_DEADLINE", override,
+                        "worker deadline", float)
+    if found is None:
         return None
-    value = float(configured)
-    if value <= 0:
-        raise ValueError("REPRO_WORKER_DEADLINE must be positive")
+    source, value = found
+    if not math.isfinite(value) or value <= 0:
+        raise ValueError(f"{source} must be a positive finite number of "
+                         f"seconds (got {value!r})")
     return value
 
 
@@ -180,15 +187,7 @@ def worker_retries(override: Optional[int] = None) -> int:
     degrades the worker to in-process execution. ``0`` skips respawning
     entirely (straight to in-process recovery).
     """
-    if override is not None:
-        if override < 0:
-            raise ValueError("worker retries must be non-negative")
-        return int(override)
-    configured = os.environ.get("REPRO_WORKER_RETRIES", "")
-    if not configured:
-        return 2
-    count = int(configured)
-    return count if count >= 0 else 0
+    return _count("REPRO_WORKER_RETRIES", override, "worker retries", 2, 0)
 
 
 def chaos_workers(override: Optional[str] = None) -> str:

@@ -40,6 +40,17 @@ efficiency; ``REPRO_SHARD_WINDOW`` tunes it. Cloud completions are
 joined onto the driver's own call copies; at finish the workers ship
 back only each call's edge half.
 
+Workers. Cell workers (``shard<i>``) and region workers (``cloud<i>``)
+speak one protocol. An executor (:class:`_LocalCells`,
+:class:`_LocalRegions`) answers ``request(command, argument) ->
+payload``; cells answer ``advance`` and regions ``serve``, both answer
+``finish``. One handle class, :class:`_Shard`, runs the executor in a
+worker process whose loop (:func:`_serve`) answers each command as
+``(command, payload)`` and exits after ``finish``, or runs it
+in-process. The ``finish`` payload is a dict whose ``telemetry`` entry
+is ``(kernel events, layer event counts, spans)`` from a child process
+and ``None`` in-process, where those are already counted.
+
 The unarmed path (``REPRO_SHARDS`` unset / ``shards`` not given) never
 enters this module: experiments fall through to the unsharded runner,
 byte-identical to the seed.
@@ -47,10 +58,11 @@ byte-identical to the seed.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..config import DEFAULT, PaperConstants
@@ -101,11 +113,6 @@ MAX_HORIZON_S = 1e8
 #: hybrid run; per-cell slots shrink as the background fleet grows so a
 #: 1M-device background prices into a bounded stream.
 MAX_SYNTHETIC_CALLS = 4096
-
-#: Supervision deadline when a handle is constructed directly;
-#: :func:`run_sharded` derives the real one from the barrier window via
-#: :func:`repro.sim.supervisor.resolve_worker_deadline`.
-DEADLINE_FALLBACK_S = 60.0
 
 
 @dataclass(frozen=True)
@@ -273,7 +280,7 @@ def plan_cells(n_devices: int, seed: int = 0,
     return specs
 
 
-# -- cell worker (runs in a shard process or in-process) ----------------
+# -- executors: the only code that knows cells or regions ---------------
 
 def _build_cell(config: PlatformConfig, scenario, spec: CellSpec,
                 constants: PaperConstants, total_devices: int,
@@ -292,93 +299,19 @@ def _build_cell(config: PlatformConfig, scenario, spec: CellSpec,
     return runner, boundary
 
 
-def _finish_cells(cells, duration: float
-                  ) -> List[Tuple[int, RunResult, List[Tuple]]]:
-    """Finalize every cell: ``(cell, RunResult, edge halves)``. A call's
-    edge half is ``(start_s, edge_done_s, edge_breakdown)``, the fields
-    the cell fills after handing the call over; the list is indexed by
-    the call's ``seq``."""
-    return [(spec.index, runner.finish(duration_override=duration),
-             [(call.start_s, call.edge_done_s, call.edge_breakdown)
-              for call in boundary.calls])
-            for spec, runner, boundary in cells]
-
-
-def _worker_main(conn, config: PlatformConfig, scenario,
-                 specs: List[CellSpec], constants: PaperConstants,
-                 total_devices: int, runner_kwargs: Dict,
-                 faults: Tuple[Tuple[str, int, float], ...] = ()) -> None:
-    """Shard worker loop: build my cells, then serve barrier commands.
-
-    Protocol (parent -> worker): ``("advance", t)`` steps every cell to
-    barrier ``t`` and replies ``("calls", (fresh_calls, status))`` where
-    ``status`` maps cell index to its makespan once finished;
-    ``("finish", duration)`` finalizes every cell and replies
-    ``("result", payload)`` with the cells' RunResults, each cell's
-    edge halves (see :func:`_finish_cells`), shipped spans, and
-    kernel-event deltas, then exits. The driver already holds every
-    call it was handed at the barriers, so only the fields the cell
-    filled in after handing a call over travel back.
-
-    ``faults`` carries worker-side chaos triples (hang/slow, see
-    :meth:`repro.faults.worker.WorkerFaultPlan.worker_side`), applied
-    via :func:`repro.sim.supervisor.chaos_pause` before handling the
-    matching command. Recovery respawns pass ``()``.
-    """
-    tracer = obs.active_tracer()
-    spans_before = len(tracer) if tracer is not None else 0
-    events_before = kernel.events_consumed()
-    layers_before = layer_counts()
-    cells = [(spec, *_build_cell(config, scenario, spec, constants,
-                                 total_devices, runner_kwargs))
-             for spec in specs]
-    op = 0
-    try:
-        while True:
-            command, argument = conn.recv()
-            op += 1
-            chaos_pause(faults, op)
-            if command == "advance":
-                status = {}
-                fresh: List[CloudCall] = []
-                for spec, runner, boundary in cells:
-                    runner.advance_to(argument)
-                    fresh.extend(boundary.take_fresh())
-                    if runner.finished:
-                        status[spec.index] = runner.makespan
-                conn.send(("calls", (fresh, status)))
-            elif command == "finish":
-                layers_after = layer_counts()
-                payload = {
-                    "results": _finish_cells(cells, argument),
-                    "sim_events": kernel.events_consumed() - events_before,
-                    "layer_events": {
-                        layer: layers_after[layer] - layers_before[layer]
-                        for layer in layers_after},
-                    "spans": (tuple(tracer.take_from(spans_before))
-                              if tracer is not None else None),
-                }
-                conn.send(("result", payload))
-                return
-            else:
-                raise ProtocolError(f"unknown shard command {command!r}")
-    except (EOFError, BrokenPipeError, KeyboardInterrupt):
-        return
-    finally:
-        conn.close()
-
-
 class _LocalCells:
-    """In-process executor for one shard's cells.
+    """Executor for one scheduling group of cells.
 
-    The fallback arm of the supervised handle — serves the same
-    ``request(command, argument) -> payload`` shapes as
-    :func:`_worker_main`, so :class:`~repro.sim.supervisor.
-    SupervisedConnection` can replay a dead worker's journal onto it
-    verbatim. Used when one worker collapses to in-process scheduling,
-    when no process can be spawned, and as the end of the degradation
-    ladder after the respawn retry budget.
+    ``("advance", t)`` steps every cell to barrier ``t`` and answers
+    ``(fresh_calls, status)``, where ``status`` maps cell index to its
+    makespan once finished. ``("finish", duration)`` finalizes every
+    cell and answers ``{"results": [(cell, RunResult, edge halves)],
+    "telemetry": None}``. A call's edge half is ``(start_s,
+    edge_done_s, edge_breakdown)``, the fields the cell fills after
+    handing the call over; the list is indexed by the call's ``seq``.
     """
+
+    COMMANDS = ("advance", "finish")
 
     def __init__(self, config, scenario, specs: List[CellSpec],
                  constants, total_devices: int, runner_kwargs: Dict):
@@ -398,170 +331,54 @@ class _LocalCells:
                     status[spec.index] = runner.makespan
             return fresh, status
         if command == "finish":
-            return {
-                "results": _finish_cells(self._cells, argument),
-                # In-process cells dispatch on this process's kernel
-                # counters, which total_events_consumed() already covers.
-                "sim_events": 0,
-                "layer_events": {},
-                "spans": None,  # already on this process's tracer
-            }
+            return {"results": [
+                (spec.index, runner.finish(duration_override=argument),
+                 [(call.start_s, call.edge_done_s, call.edge_breakdown)
+                  for call in boundary.calls])
+                for spec, runner, boundary in self._cells],
+                "telemetry": None}
         raise ProtocolError(f"unknown shard command {command!r}")
 
 
-class _Shard:
-    """Driver-side handle for one scheduling group of cells.
-
-    Runs its cells in a worker process under a
-    :class:`~repro.sim.supervisor.SupervisedConnection` — deadline
-    watchdog, death/hang detection, deterministic journal-replay
-    recovery — falling back to in-process execution when no process can
-    be spawned (sandboxes and test environments routinely forbid
-    ``fork``) or when the respawn retry budget runs out. Every path
-    produces the same bytes, see the module determinism contract.
-    """
-
-    def __init__(self, specs: List[CellSpec], config, scenario,
-                 constants, total_devices: int, runner_kwargs: Dict,
-                 in_process: bool, worker_id: int = 0,
-                 faults: Optional[WorkerFaultPlan] = None,
-                 deadline_s: float = DEADLINE_FALLBACK_S,
-                 retries: int = 2):
-        self.specs = specs
-        faults = faults if faults is not None else WorkerFaultPlan()
-
-        def spawn(worker_side_faults):
-            import multiprocessing
-            parent_conn, child_conn = multiprocessing.Pipe()
-            process = multiprocessing.Process(
-                target=_worker_main,
-                args=(child_conn, config, scenario, specs, constants,
-                      total_devices, runner_kwargs, worker_side_faults),
-                daemon=True)
-            process.start()
-            child_conn.close()
-            return parent_conn, process
-
-        self.sup = SupervisedConnection(
-            name=f"shard{worker_id}",
-            spawn=spawn,
-            replies={"advance": "calls", "finish": "result"},
-            fallback=lambda: _LocalCells(config, scenario, specs,
-                                         constants, total_devices,
-                                         runner_kwargs),
-            deadline_s=deadline_s,
-            retries=retries,
-            kill_ops=faults.kill_ops("shard", worker_id),
-            worker_side_faults=faults.worker_side("shard", worker_id),
-            in_process=in_process)
-
-    @property
-    def in_process(self) -> bool:
-        return self.sup.in_process
-
-    def send_advance(self, until: float) -> None:
-        self.sup.send("advance", until)
-
-    def collect_advance(self, until: float
-                        ) -> Tuple[List[CloudCall], Dict[int, float]]:
-        return self.sup.collect()
-
-    def send_finish(self, duration: float) -> None:
-        self.sup.send("finish", duration)
-
-    def collect_finish(self, duration: float) -> Dict:
-        return self.sup.collect()
-
-    def close(self) -> None:
-        self.sup.close()
-
-
-# -- cloud region workers (sharded cloud tier) --------------------------
-
-def _build_regions(region_specs, config, scenario, constants,
-                   total_devices: int, seed: int, n_regions: int,
-                   region_plans: Optional[Dict] = None,
-                   serving_cfg=None) -> Dict:
-    from ..serverless.region import RegionGateway, region_server_count
-    gateways = {}
-    for region, count in region_specs:
-        serving = None
-        if serving_cfg is not None:
-            # Policies are mutable per-region state: rebuild them here,
-            # in whichever process owns the gateway (only the picklable
-            # ServingConfig crosses the pipe).
-            from ..serving import ServingPolicy
-            serving = ServingPolicy(
-                serving_cfg,
-                n_servers=region_server_count(
-                    region, n_regions, constants.cluster.servers),
-                cores_per_server=constants.cluster.cores_per_server)
-        gateway = RegionGateway(
-            config, scenario, constants, region=region,
-            n_regions=n_regions, region_devices=count,
-            total_devices=total_devices, seed=seed, serving=serving)
-        plan = (region_plans or {}).get(region)
-        if plan is not None and plan.armed:
-            gateway.apply_fault_plan(plan)
-        gateways[region] = gateway
-    return gateways
-
-
-def _region_worker_main(conn, config, scenario, region_specs, constants,
-                        total_devices: int, seed: int, n_regions: int,
-                        region_plans: Optional[Dict] = None,
-                        faults: Tuple[Tuple[str, int, float], ...] = (),
-                        serving_cfg=None) -> None:
-    """Cloud worker loop: build my regions, then serve call batches.
-
-    Protocol (parent -> worker): ``("serve", [(region, calls), ...])``
-    prices each region's batch on its virtual clock and replies
-    ``("served", completions)`` with ``(cell, seq, completion_s,
-    breakdown)`` tuples; ``("finish", None)`` replies ``("stats",
-    {region: stats})`` and exits. ``region_plans`` maps region index to
-    its partitioned backend :class:`~repro.faults.FaultPlan` (simulated
-    faults — kept across respawns); ``faults`` carries worker-side chaos
-    triples (harness faults — disarmed on respawn).
-    """
-    gateways = _build_regions(region_specs, config, scenario, constants,
-                              total_devices, seed, n_regions,
-                              region_plans, serving_cfg=serving_cfg)
-    op = 0
-    try:
-        while True:
-            command, argument = conn.recv()
-            op += 1
-            chaos_pause(faults, op)
-            if command == "serve":
-                completions = []
-                for region, calls in argument:
-                    completions.extend(gateways[region].serve(calls))
-                conn.send(("served", completions))
-            elif command == "finish":
-                conn.send(("stats", {region: gateway.stats()
-                                     for region, gateway
-                                     in gateways.items()}))
-                return
-            else:
-                raise ProtocolError(f"unknown cloud command {command!r}")
-    except (EOFError, BrokenPipeError, KeyboardInterrupt):
-        return
-    finally:
-        conn.close()
-
-
 class _LocalRegions:
-    """In-process executor for one worker group of cloud regions
-    (the supervised handle's fallback arm; payload shapes match
-    :func:`_region_worker_main`)."""
+    """Executor for one worker group of cloud regions.
+
+    ``("serve", [(region, calls), ...])`` prices each region's
+    canonical-order batch on its virtual clock and answers the
+    ``(cell, seq, completion_s, breakdown)`` completion tuples.
+    ``("finish", None)`` answers ``{"stats": {region: stats},
+    "telemetry": None}``. ``region_plans`` maps region index to its
+    partitioned backend :class:`~repro.faults.FaultPlan` (simulated
+    faults, so a respawned worker keeps them).
+    """
+
+    COMMANDS = ("serve", "finish")
 
     def __init__(self, region_specs, config, scenario, constants,
                  total_devices: int, seed: int, n_regions: int,
-                 region_plans: Optional[Dict] = None,
-                 serving_cfg=None):
-        self._gateways = _build_regions(
-            region_specs, config, scenario, constants, total_devices,
-            seed, n_regions, region_plans, serving_cfg=serving_cfg)
+                 region_plans: Optional[Dict] = None, serving_cfg=None):
+        from ..serverless.region import RegionGateway, region_server_count
+        self._gateways = {}
+        for region, count in region_specs:
+            serving = None
+            if serving_cfg is not None:
+                # Policies are mutable per-region state: rebuild them
+                # here, in whichever process owns the gateway (only the
+                # picklable ServingConfig crosses the pipe).
+                from ..serving import ServingPolicy
+                serving = ServingPolicy(
+                    serving_cfg,
+                    n_servers=region_server_count(
+                        region, n_regions, constants.cluster.servers),
+                    cores_per_server=constants.cluster.cores_per_server)
+            gateway = RegionGateway(
+                config, scenario, constants, region=region,
+                n_regions=n_regions, region_devices=count,
+                total_devices=total_devices, seed=seed, serving=serving)
+            plan = (region_plans or {}).get(region)
+            if plan is not None and plan.armed:
+                gateway.apply_fault_plan(plan)
+            self._gateways[region] = gateway
 
     def request(self, command: str, argument) -> object:
         if command == "serve":
@@ -570,75 +387,114 @@ class _LocalRegions:
                 completions.extend(self._gateways[region].serve(calls))
             return completions
         if command == "finish":
-            return {region: gateway.stats()
-                    for region, gateway in self._gateways.items()}
+            return {"stats": {region: gateway.stats()
+                              for region, gateway in self._gateways.items()},
+                    "telemetry": None}
         raise ProtocolError(f"unknown cloud command {command!r}")
 
 
-class _CloudShard:
-    """Driver-side handle for one worker group of cloud regions.
+# -- the worker protocol ------------------------------------------------
 
-    Mirrors :class:`_Shard`'s supervised process-with-fallback shape:
-    regions are the semantic unit and price identically wherever they
-    are scheduled, so worker grouping — and supervised recovery — never
-    changes the bytes.
+def _serve(conn, executor: Callable[[], object],
+           faults: Tuple[Tuple[str, int, float], ...]) -> None:
+    """The worker process: build the executor, then answer commands.
+
+    Every command ``(name, argument)`` is answered by
+    ``executor.request`` as ``(name, payload)``; after ``finish`` the
+    worker exits. The finish payload's ``telemetry`` is the one thing a
+    child adds: ``(kernel events, layer event counts, spans)`` run here
+    since start-up, which the driver credits to its own counters and
+    tracer (an executor in the driver's process leaves it ``None``).
+
+    ``faults`` carries worker-side chaos triples (hang/slow, see
+    :meth:`repro.faults.worker.WorkerFaultPlan.worker_side`), applied
+    via :func:`repro.sim.supervisor.chaos_pause` before handling the
+    matching command. Recovery respawns pass ``()``.
+    """
+    tracer = obs.active_tracer()
+    spans_before = len(tracer) if tracer is not None else 0
+    events_before = kernel.events_consumed()
+    layers_before = layer_counts()
+    worker = executor()
+    op = 0
+    try:
+        while True:
+            command, argument = conn.recv()
+            op += 1
+            chaos_pause(faults, op)
+            payload = worker.request(command, argument)
+            if command == "finish":
+                layers_after = layer_counts()
+                payload["telemetry"] = (
+                    kernel.events_consumed() - events_before,
+                    {layer: layers_after[layer] - layers_before[layer]
+                     for layer in layers_after},
+                    (tuple(tracer.take_from(spans_before))
+                     if tracer is not None else None))
+            conn.send((command, payload))
+            if command == "finish":
+                return
+    except (EOFError, BrokenPipeError, KeyboardInterrupt):
+        return
+    finally:
+        conn.close()
+
+
+class _Shard(SupervisedConnection):
+    """Driver-side handle for one worker, cells or regions alike.
+
+    Runs ``executor()`` in a worker process under the supervision of
+    :class:`~repro.sim.supervisor.SupervisedConnection` (deadline
+    watchdog, death/hang detection, deterministic journal-replay
+    recovery), and in-process when ``in_process`` is set, when no
+    process can be spawned (sandboxes and test environments routinely
+    forbid ``fork``) or when the respawn retry budget runs out. Every
+    path produces the same bytes, see the module determinism contract.
     """
 
-    def __init__(self, region_specs, config, scenario, constants,
-                 total_devices: int, seed: int, n_regions: int,
-                 in_process: bool, worker_id: int = 0,
-                 faults: Optional[WorkerFaultPlan] = None,
-                 deadline_s: float = DEADLINE_FALLBACK_S,
-                 retries: int = 2,
-                 region_plans: Optional[Dict] = None,
-                 serving_cfg=None):
-        self.regions = [region for region, _ in region_specs]
-        faults = faults if faults is not None else WorkerFaultPlan()
-
-        def spawn(worker_side_faults):
-            import multiprocessing
-            parent_conn, child_conn = multiprocessing.Pipe()
-            process = multiprocessing.Process(
-                target=_region_worker_main,
-                args=(child_conn, config, scenario, region_specs,
-                      constants, total_devices, seed, n_regions,
-                      region_plans, worker_side_faults, serving_cfg),
-                daemon=True)
-            process.start()
-            child_conn.close()
-            return parent_conn, process
-
-        self.sup = SupervisedConnection(
-            name=f"cloud{worker_id}",
-            spawn=spawn,
-            replies={"serve": "served", "finish": "stats"},
-            fallback=lambda: _LocalRegions(region_specs, config,
-                                           scenario, constants,
-                                           total_devices, seed,
-                                           n_regions, region_plans,
-                                           serving_cfg=serving_cfg),
-            deadline_s=deadline_s,
-            retries=retries,
-            kill_ops=faults.kill_ops("cloud", worker_id),
-            worker_side_faults=faults.worker_side("cloud", worker_id),
+    def __init__(self, scope: str, worker_id: int,
+                 executor: Callable[[], object], commands: Sequence[str],
+                 faults: WorkerFaultPlan, deadline_s: float, retries: int,
+                 in_process: bool):
+        self._executor = executor
+        super().__init__(
+            name=f"{scope}{worker_id}", spawn=self._start,
+            commands=commands, fallback=executor,
+            deadline_s=deadline_s, retries=retries,
+            kill_ops=faults.kill_ops(scope, worker_id),
+            worker_side_faults=faults.worker_side(scope, worker_id),
             in_process=in_process)
 
-    @property
-    def in_process(self) -> bool:
-        return self.sup.in_process
+    def _start(self, worker_side_faults):
+        import multiprocessing
+        parent_conn, child_conn = multiprocessing.Pipe()
+        process = multiprocessing.Process(
+            target=_serve,
+            args=(child_conn, self._executor, worker_side_faults),
+            daemon=True)
+        process.start()
+        child_conn.close()
+        return parent_conn, process
 
-    def send_serve(self, grouped) -> None:
-        """``grouped`` is a list of (region, canonical-order calls)."""
-        self.sup.send("serve", grouped)
+    def collect_advance(self, until: float
+                        ) -> Tuple[List[CloudCall], Dict[int, float]]:
+        """Collect an edge worker's ``advance(until)`` reply."""
+        return self.collect()
 
-    def collect_serve(self) -> List:
-        return self.sup.collect()
 
-    def finish(self) -> Dict:
-        return self.sup.request("finish", None)
-
-    def close(self) -> None:
-        self.sup.close()
+def _absorb_telemetry(telemetry, replica: int) -> None:
+    """Credit a worker's finish telemetry (see :func:`_serve`) to this
+    process: kernel and layer event counts, and spans re-homed under
+    ``replica``, the first cell or region the worker owns."""
+    if telemetry is None:
+        return
+    sim_events, layer_events, spans = telemetry
+    if sim_events:
+        from ..experiments.parallel import absorb_worker_counts
+        absorb_worker_counts(sim_events, layer_events)
+    tracer = obs.active_tracer()
+    if spans and tracer is not None:
+        tracer.absorb(spans, replica=replica)
 
 
 # -- merge helpers ------------------------------------------------------
@@ -926,9 +782,9 @@ def run_sharded(config: PlatformConfig, scenario, n_devices: int,
     analytic = runner_kwargs.get("analytic_net")
     cloud_armed = cloud_shards >= 1
     gateway = None
-    cloud_handles: List[_CloudShard] = []
+    cloud_handles: List[_Shard] = []
     shard_handles: List[_Shard] = []
-    handle_of_region: Dict[int, _CloudShard] = {}
+    handle_of_region: Dict[int, _Shard] = {}
     incident_mark = incident_count()
     from ..experiments.parallel import default_workers
     if cloud_armed:
@@ -953,19 +809,18 @@ def run_sharded(config: PlatformConfig, scenario, n_devices: int,
         for position, region in enumerate(region_ids):
             cloud_groups[position % cloud_workers].append(
                 (region, region_counts[region]))
-        cloud_handles = [
-            _CloudShard(group, config, scenario, global_constants,
-                        n_devices, seed, n_regions,
-                        in_process=(cloud_workers == 1
-                                    and not chaos_armed),
-                        worker_id=worker_id, faults=worker_faults,
-                        deadline_s=deadline_s, retries=retries,
-                        region_plans=region_plans,
-                        serving_cfg=serving_cfg)
-            for worker_id, group in enumerate(
-                group for group in cloud_groups if group)]
-        for handle in cloud_handles:
-            for region in handle.regions:
+        cloud_groups = [group for group in cloud_groups if group]
+        for worker_id, group in enumerate(cloud_groups):
+            handle = _Shard(
+                "cloud", worker_id,
+                functools.partial(_LocalRegions, group, config, scenario,
+                                  global_constants, n_devices, seed,
+                                  n_regions, region_plans, serving_cfg),
+                _LocalRegions.COMMANDS, worker_faults, deadline_s,
+                retries, in_process=(cloud_workers == 1
+                                     and not chaos_armed))
+            cloud_handles.append(handle)
+            for region, _ in group:
                 handle_of_region[region] = handle
     else:
         cloud_workers = 0
@@ -1044,10 +899,10 @@ def run_sharded(config: PlatformConfig, scenario, n_devices: int,
             involved = [handle for handle in cloud_handles
                         if id(handle) in grouped_by_handle]
             for handle in involved:
-                handle.send_serve(grouped_by_handle[id(handle)])
+                handle.send("serve", grouped_by_handle[id(handle)])
             completions = []
             for handle in involved:
-                completions.extend(handle.collect_serve())
+                completions.extend(handle.collect())
             return completions
 
         # Worker processes are capped by the cgroup-aware core count: on
@@ -1066,11 +921,11 @@ def run_sharded(config: PlatformConfig, scenario, n_devices: int,
         for position, spec in enumerate(exact_specs):
             groups[position % workers].append(spec)
         shard_handles.extend(
-            _Shard(group, config, scenario, constants, n_devices,
-                   runner_kwargs,
-                   in_process=(workers == 1 and not chaos_armed),
-                   worker_id=worker_id, faults=worker_faults,
-                   deadline_s=deadline_s, retries=retries)
+            _Shard("shard", worker_id,
+                   functools.partial(_LocalCells, config, scenario, group,
+                                     constants, n_devices, runner_kwargs),
+                   _LocalCells.COMMANDS, worker_faults, deadline_s,
+                   retries, in_process=(workers == 1 and not chaos_armed))
             for worker_id, group in enumerate(groups))
 
         # Barrier loop. No cloud completion feeds back into a cell, so
@@ -1087,7 +942,7 @@ def run_sharded(config: PlatformConfig, scenario, n_devices: int,
                     f"mission not finished by t={barrier:.0f}s; "
                     "sharded barrier loop aborted")
             for handle in shard_handles:
-                handle.send_advance(barrier)
+                handle.send("advance", barrier)
 
         barrier = window
         send_advance(barrier)
@@ -1117,8 +972,10 @@ def run_sharded(config: PlatformConfig, scenario, n_devices: int,
             # focus), then collect every region's counters.
             cloud_completions.extend(serve_regions([], MAX_HORIZON_S))
             region_stats: Dict[int, Dict] = {}
-            for handle in cloud_handles:
-                region_stats.update(handle.finish())
+            for handle, group in zip(cloud_handles, cloud_groups):
+                payload = handle.request("finish", None)
+                region_stats.update(payload["stats"])
+                _absorb_telemetry(payload["telemetry"], replica=group[0][0])
             cloud_done = max(
                 (stats["last_completion_s"]
                  for stats in region_stats.values()), default=0.0)
@@ -1126,9 +983,8 @@ def run_sharded(config: PlatformConfig, scenario, n_devices: int,
             cloud_done = gateway.drain()
         makespan = max(max(finished.values()), cloud_done)
 
-        tracer = obs.active_tracer()
         for handle in shard_handles:
-            handle.send_finish(makespan)
+            handle.send("finish", makespan)
         # While the workers finish, join the region workers' completion
         # tuples onto the driver's call copies (the monolithic gateway
         # finalized them in place) and group the copies by cell; the
@@ -1143,8 +999,8 @@ def run_sharded(config: PlatformConfig, scenario, n_devices: int,
             if done is not None:
                 call.completion_s, call.cloud_breakdown = done
         results: List[Tuple[int, RunResult, List[CloudCall]]] = []
-        for handle in shard_handles:
-            payload = handle.collect_finish(makespan)
+        for handle, group in zip(shard_handles, groups):
+            payload = handle.collect()
             for cell, result, halves in payload["results"]:
                 # A cell numbers its calls 0, 1, ... in hand-over
                 # order, so edge half ``seq`` belongs to call ``seq``. A
@@ -1162,18 +1018,10 @@ def run_sharded(config: PlatformConfig, scenario, n_devices: int,
                     (call.start_s, call.edge_done_s,
                      call.edge_breakdown) = halves[call.seq]
                 results.append((cell, result, calls))
-            if payload["sim_events"]:
-                from ..experiments.parallel import absorb_worker_counts
-                absorb_worker_counts(payload["sim_events"],
-                                     payload["layer_events"])
-            if payload["spans"] and tracer is not None:
-                # Re-home worker spans under the shard's first cell
-                # index (the PR 5 replica-tagging pattern across
-                # processes).
-                tracer.absorb(payload["spans"],
-                              replica=handle.specs[0].index)
+            _absorb_telemetry(payload["telemetry"], replica=group[0].index)
         results.sort(key=lambda item: item[0])
 
+        tracer = obs.active_tracer()
         if serving_cfg is not None and tracer is not None:
             # Elasticity reactions (shed instants, scale decisions) on
             # the same timeline as the call pipeline spans.

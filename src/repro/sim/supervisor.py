@@ -6,6 +6,9 @@ no fault tolerance: every ``conn.recv()`` blocked forever and a timed-out
 ``join`` leaked the child. This module supplies the missing supervision
 layer, used by both worker kinds in :mod:`repro.sim.shard`:
 
+- **Tagged replies.** A worker answers command ``(name, argument)``
+  with ``(name, payload)``; a reply carrying any other tag is a
+  :class:`ProtocolError`.
 - **Deadline-guarded receives.** Every reply is awaited with
   ``poll()`` in short slices against a wall-clock deadline
   (``REPRO_WORKER_DEADLINE``, default ``max(60 s, lookahead window)`` —
@@ -40,7 +43,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import (Any, Callable, Dict, FrozenSet, Iterable, List,
+                    Optional, Tuple)
 
 from . import flags
 
@@ -205,8 +209,10 @@ class SupervisedConnection:
         ``spawn(worker_side_faults) -> (conn, process)``. Called with
         the armed fault triples for the first spawn and ``()`` for every
         recovery respawn (faults are one-shot).
-    replies:
-        Command → expected reply kind (e.g. ``{"advance": "calls"}``).
+    commands:
+        The commands this worker answers (e.g. ``("advance",
+        "finish")``). A reply echoes its command's name, ``(command,
+        payload)``; any other tag raises :class:`ProtocolError`.
     fallback:
         Zero-arg factory for an in-process executor exposing
         ``request(command, argument) -> payload``; used when
@@ -220,16 +226,16 @@ class SupervisedConnection:
     def __init__(self, name: str,
                  spawn: Callable[[Tuple[Tuple[str, int, float], ...]],
                                  Tuple[Any, Any]],
-                 replies: Dict[str, str],
+                 commands: Iterable[str],
                  fallback: Callable[[], Any],
                  deadline_s: float,
-                 retries: int = 2,
+                 retries: int,
                  kill_ops: FrozenSet[int] = frozenset(),
                  worker_side_faults: Tuple[Tuple[str, int, float], ...] = (),
                  in_process: bool = False):
         self._name = name
         self._spawn = spawn
-        self._replies = dict(replies)
+        self._commands = frozenset(commands)
         self._fallback = fallback
         self._deadline_s = float(deadline_s)
         self._retries = max(0, int(retries))
@@ -268,7 +274,7 @@ class SupervisedConnection:
             raise ProtocolError(
                 f"{self._name}: send({command!r}) while "
                 f"{self._outstanding[0]!r} is still outstanding")
-        if command not in self._replies:
+        if command not in self._commands:
             raise ProtocolError(f"{self._name}: unknown command "
                                 f"{command!r}")
         self._outstanding = (command, argument)
@@ -294,7 +300,7 @@ class SupervisedConnection:
         if self._local is not None:
             return self._local.request(command, argument)
         try:
-            payload = self._recv(self._replies[command])
+            payload = self._recv(command)
         except WorkerFailure as failure:
             payload = self._recover(failure, command, argument)
         if self._local is None:
@@ -367,7 +373,7 @@ class SupervisedConnection:
             try:
                 self._replay()
                 self._conn.send((command, argument))
-                payload = self._recv(self._replies[command])
+                payload = self._recv(command)
                 recovery = "respawned"
                 break
             except (WorkerFailure, BrokenPipeError, OSError):
@@ -402,7 +408,7 @@ class SupervisedConnection:
         """
         for command, argument in self._journal:
             self._conn.send((command, argument))
-            self._recv(self._replies[command])
+            self._recv(command)
 
     # -- teardown -------------------------------------------------------
     def _close_process(self, grace_s: float = 5.0) -> None:

@@ -192,6 +192,12 @@ class TestUnarmedPath:
         assert flags.meanfield_enabled(False) is False
         with pytest.raises(ValueError):
             flags.shard_count(0)
+        # A malformed environment value is rejected like a bad argument,
+        # naming the variable.
+        for configured in ("0", "-3", "abc", "2.5"):
+            monkeypatch.setenv("REPRO_SHARDS", configured)
+            with pytest.raises(ValueError, match="REPRO_SHARDS"):
+                flags.shard_count()
 
     def test_cloud_flag_resolution(self, monkeypatch):
         monkeypatch.delenv("REPRO_CLOUD_SHARDS", raising=False)
@@ -209,6 +215,15 @@ class TestUnarmedPath:
             flags.cloud_shard_count(-1)
         with pytest.raises(ValueError):
             flags.hybrid_exact_devices(-8)
+        for variable, resolve in (
+                ("REPRO_CLOUD_SHARDS", flags.cloud_shard_count),
+                ("REPRO_HYBRID_EXACT", flags.hybrid_exact_devices)):
+            monkeypatch.setenv(variable, "0")
+            assert resolve() == 0
+            for configured in ("-1", "abc"):
+                monkeypatch.setenv(variable, configured)
+                with pytest.raises(ValueError, match=variable):
+                    resolve()
 
 
 class TestWindowResolution:

@@ -73,6 +73,30 @@ def undisturbed_bytes():
     return result_bytes(_run(WorkerFaultPlan()))
 
 
+#: Two regions, so armed chaos runs two real cloud workers.
+CLOUD_SHAPE = dict(cloud_shards=2, region_devices=8)
+
+#: One worker of each kind: the shard runs use the default shape, the
+#: cloud runs ``CLOUD_SHAPE``.
+BOTH_KINDS = pytest.mark.parametrize("scope, worker",
+                                     [("shard", 1), ("cloud", 0)])
+
+
+def _shape(scope):
+    return CLOUD_SHAPE if scope == "cloud" else {}
+
+
+@pytest.fixture(scope="module")
+def cloud_undisturbed_bytes():
+    """The fault-free twin of the ``CLOUD_SHAPE`` runs."""
+    return result_bytes(_run(WorkerFaultPlan(), **CLOUD_SHAPE))
+
+
+@pytest.fixture
+def twin_bytes(scope, undisturbed_bytes, cloud_undisturbed_bytes):
+    return cloud_undisturbed_bytes if scope == "cloud" else undisturbed_bytes
+
+
 @needs_processes
 class TestKillRecovery:
     def test_sigkill_mid_advance_is_byte_identical(self, undisturbed_bytes):
@@ -92,25 +116,27 @@ class TestKillRecovery:
         assert incident["worker"] == "shard1"
         assert incident["failure"] == "death"
 
-    def test_cloud_worker_kill_is_byte_identical(self):
-        shape = dict(cloud_shards=2, region_devices=8)
-        baseline = _run(WorkerFaultPlan(), **shape)
-        chaotic = _run(WorkerFaultPlan().kill("cloud", 0, 2), **shape)
-        assert result_bytes(chaotic) == result_bytes(baseline)
+    def test_cloud_worker_kill_is_byte_identical(
+            self, cloud_undisturbed_bytes):
+        chaotic = _run(WorkerFaultPlan().kill("cloud", 0, 2), **CLOUD_SHAPE)
+        assert result_bytes(chaotic) == cloud_undisturbed_bytes
         assert chaotic.extras["worker_recoveries"] == 1
         assert chaotic.extras["worker_incidents"][0]["worker"] == "cloud0"
 
 
 @needs_processes
 class TestHangRecovery:
+    @BOTH_KINDS
     def test_hung_worker_is_detected_and_byte_identical(
-            self, undisturbed_bytes):
+            self, scope, worker, twin_bytes):
         mark = supervisor.incident_count()
-        result = _run(WorkerFaultPlan().hang("shard", 1, 3))
-        assert result_bytes(result) == undisturbed_bytes
+        result = _run(WorkerFaultPlan().hang(scope, worker, 3),
+                      **_shape(scope))
+        assert result_bytes(result) == twin_bytes
         [incident] = supervisor.incidents_since(mark)
         assert incident.failure == "hang"
-        assert incident.worker == "shard1"
+        assert incident.worker == f"{scope}{worker}"
+        assert incident.recovery == "respawned"
 
     def test_slow_reply_within_deadline_is_not_an_incident(
             self, undisturbed_bytes):
@@ -122,11 +148,15 @@ class TestHangRecovery:
 
 @needs_processes
 class TestDegradationLadder:
-    def test_zero_retries_degrades_to_in_process(self, undisturbed_bytes):
-        result = _run(WorkerFaultPlan().kill("shard", 0, 2),
-                      worker_retries=0)
-        assert result_bytes(result) == undisturbed_bytes
+    @BOTH_KINDS
+    def test_zero_retries_degrades_to_in_process(self, scope, worker,
+                                                 twin_bytes):
+        result = _run(WorkerFaultPlan().kill(scope, worker, 2),
+                      worker_retries=0, **_shape(scope))
+        assert result_bytes(result) == twin_bytes
         [incident] = result.extras["worker_incidents"]
+        assert incident["worker"] == f"{scope}{worker}"
+        assert incident["failure"] == "death"
         assert incident["recovery"] == "in_process"
         assert incident["retries"] == 0
 
@@ -288,16 +318,31 @@ class TestResolvers:
         monkeypatch.setenv("REPRO_WORKER_DEADLINE", "7.5")
         assert resolve_worker_deadline(300.0) == 7.5
 
-    def test_bad_deadline_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKER_DEADLINE", "-1")
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("configured", ["-1", "nan", "inf", "abc"])
+    def test_bad_deadline_env_rejected(self, monkeypatch, configured):
+        monkeypatch.setenv("REPRO_WORKER_DEADLINE", configured)
+        with pytest.raises(ValueError, match="REPRO_WORKER_DEADLINE"):
             resolve_worker_deadline(10.0)
+
+    @pytest.mark.parametrize("override", [0.0, -2.0, float("nan"),
+                                          float("inf")])
+    def test_bad_deadline_override_rejected(self, override):
+        with pytest.raises(ValueError, match="worker deadline"):
+            resolve_worker_deadline(10.0, override=override)
 
     def test_retries_env_var(self, monkeypatch):
         assert resolve_worker_retries() == 2
         assert resolve_worker_retries(override=5) == 5
         monkeypatch.setenv("REPRO_WORKER_RETRIES", "1")
         assert resolve_worker_retries() == 1
+        monkeypatch.setenv("REPRO_WORKER_RETRIES", "0")
+        assert resolve_worker_retries() == 0
+        with pytest.raises(ValueError):
+            resolve_worker_retries(override=-1)
+        for configured in ("-1", "abc", "1.5"):
+            monkeypatch.setenv("REPRO_WORKER_RETRIES", configured)
+            with pytest.raises(ValueError, match="REPRO_WORKER_RETRIES"):
+                resolve_worker_retries()
 
 
 class _FakeProcess:
@@ -343,7 +388,7 @@ def _supervised(replies):
     return SupervisedConnection(
         "fake0",
         spawn=lambda faults: (_FakeConn(replies), _FakeProcess()),
-        replies={"advance": "calls"},
+        commands=("advance",),
         fallback=lambda: None,
         deadline_s=1.0, retries=0)
 
@@ -353,9 +398,9 @@ class TestProtocolErrors:
     wrong-kind reply must fail loudly even under ``python -O``."""
 
     def test_wrong_reply_kind_raises(self):
-        sup = _supervised([("result", None)])
+        sup = _supervised([("finish", None)])
         sup.send("advance", 60.0)
-        with pytest.raises(ProtocolError, match="expected 'calls'"):
+        with pytest.raises(ProtocolError, match="expected 'advance'"):
             sup.collect()
 
     def test_malformed_reply_raises(self):
@@ -370,7 +415,7 @@ class TestProtocolErrors:
             sup.send("explode", None)
 
     def test_send_while_outstanding_rejected(self):
-        sup = _supervised([("calls", ([], {}))])
+        sup = _supervised([("advance", ([], {}))])
         sup.send("advance", 60.0)
         with pytest.raises(ProtocolError, match="outstanding"):
             sup.send("advance", 120.0)
